@@ -16,8 +16,7 @@ use dco_logic::datalog::{Literal, Rule};
 use dco_logic::{ArgTerm, Formula, LinExpr};
 use std::collections::BTreeSet;
 
-/// Limits a query must stay within to be evaluated by `checked_*` entry
-/// points.
+/// Limits a query must stay within to pass preflight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostBudget {
     /// Maximum quantifier alternation depth (number of maximal ∃/∀ groups

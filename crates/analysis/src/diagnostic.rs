@@ -9,7 +9,7 @@ pub enum Severity {
     Info,
     /// Suspicious but evaluable (dead code, likely mistakes).
     Warning,
-    /// The query/program is rejected by `checked_*` entry points.
+    /// The query pipelines reject the query or program.
     Error,
 }
 
@@ -125,7 +125,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Whether any diagnostic is error severity (the `checked_*` gate).
+/// Whether any diagnostic is error severity (the query pipelines' gate).
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }

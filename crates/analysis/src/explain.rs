@@ -3,14 +3,14 @@
 //! evaluator has run the same shape — an actual one.
 //!
 //! The estimated side is produced here from [`DbStats`] alone (a pure
-//! static analysis); the actual side is filled in by the engines'
-//! instrumented evaluators (`dco_fo::explain`), which mirror their
-//! evaluation recursion and record the width of every intermediate
-//! relation. [`PlanNode::render`] prints the tree with `est=` and `act=`
+//! static analysis). Measured plans come from the FO evaluator itself:
+//! `dco_fo::query` with `explain` set builds one node per subformula it
+//! evaluates, carrying the width of the intermediate relation it produced.
+//! [`PlanNode::render`] prints the tree with `est=` and `act=`
 //! on every line, which is also the payload of the store's `EXPLAIN`
 //! protocol verb.
 
-use crate::planner::estimate_formula;
+use crate::planner::{estimate_formula, plan_formula};
 use crate::stats::DbStats;
 use dco_logic::Formula;
 use std::fmt::Write as _;
@@ -121,12 +121,13 @@ impl QueryPlan {
 }
 
 /// Build the estimates-only plan of `formula` under `stats` — no
-/// evaluation, no actuals. Engines overlay actuals by re-walking the same
-/// shape.
+/// evaluation, no actuals — in the order the planner would run it. The
+/// slow-query log uses this to describe a query without re-running it.
 pub fn explain_formula(formula: &Formula, stats: &DbStats) -> QueryPlan {
+    let planned = plan_formula(formula, stats);
     QueryPlan {
-        planned: formula.to_string(),
-        root: node_of(formula, stats),
+        planned: planned.to_string(),
+        root: node_of(&planned, stats),
     }
 }
 

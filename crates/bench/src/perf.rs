@@ -364,8 +364,9 @@ pub fn run_perf(quick: bool, threads: usize) -> Vec<PerfRecord> {
         out.push(join_order_record(n, "planned"));
     }
 
-    // Guard-layer accounting: the same tc fixpoint under a no-limit guard
-    // (probe overhead + containment, fault-free) and under a deliberately
+    // Guard-layer accounting: the same tc fixpoint through the Datalog
+    // pipeline under its default budgets (analysis, planning, probe
+    // overhead and containment; fault-free) and under a deliberately
     // tight tuple budget (every run aborts with a typed fault). The
     // `aborted` and `worker_retries` columns let the regression gate tell
     // a cancelled run from a slow one.
@@ -982,7 +983,7 @@ fn obs_overhead_records(quick: bool) -> Vec<PerfRecord> {
     ]
 }
 
-/// Fault-free guarded row: unguarded-identical result, plus the guard's
+/// Fault-free pipeline row: unguarded-identical result, plus the guard's
 /// own retry counter.
 fn guarded_engine_record(
     experiment: &str,
@@ -996,13 +997,12 @@ fn guarded_engine_record(
     let mut atoms = 0;
     let mut retries = 0;
     let wall_ms = time_ms(|| {
-        let g =
-            dco::datalog::try_run_with(program, db, &EngineConfig::default(), GuardLimits::none())
-                .expect("fault-free guarded fixpoint");
-        let tc = g.value.database.get("tc").expect("tc defined");
+        let out =
+            run_program(program, db, &RunOptions::default()).expect("fault-free guarded fixpoint");
+        let tc = out.database.get("tc").expect("tc defined");
         tuples = tc.len();
         atoms = tc.size();
-        retries = g.stats.worker_retries;
+        retries = out.guard.worker_retries;
     });
     let stats = sat_cache_stats();
     PerfRecord {
@@ -1035,16 +1035,15 @@ fn guarded_abort_record(
     let mut aborted = 0u64;
     let mut retries = 0u64;
     let wall_ms = time_ms(|| {
-        match dco::datalog::try_run_with(
-            program,
-            db,
-            &EngineConfig::default(),
-            GuardLimits::none().with_max_tuples(1),
-        ) {
-            Ok(g) => retries += g.stats.worker_retries,
+        let opts = RunOptions {
+            limits: GuardLimits::none().with_max_tuples(1),
+            ..RunOptions::default()
+        };
+        match run_program(program, db, &opts) {
+            Ok(out) => retries += out.guard.worker_retries,
             Err(e) => {
                 aborted += 1;
-                if let dco::datalog::TryRunError::Fault(f) = e {
+                if let RunError::Fault(f) = e {
                     retries += f.stats.worker_retries;
                 }
             }

@@ -5,7 +5,9 @@
 //! harness generates 128 deterministic random cases across the three
 //! evaluators (FO, FO+linear, Datalog) and demands that the planned
 //! form evaluates to a relation equivalent to the unplanned one (or
-//! fails identically when the unplanned form fails).
+//! fails identically when the unplanned form fails). The FO cases also
+//! hold the whole FO pipeline to the bare evaluator, with and without
+//! EXPLAIN.
 
 use dco::analysis::stats::DbStats;
 use dco::analysis::{plan_formula, plan_rule};
@@ -129,6 +131,7 @@ fn random_formula_src(rng: &mut Lcg, depth: u32, linear: bool) -> String {
 
 #[test]
 fn fo_planned_order_is_result_invariant_64_cases() {
+    let mut answered = 0;
     for case in 0..64u64 {
         let mut rng = Lcg::new(case + 1);
         let db = random_db(&mut rng);
@@ -153,6 +156,53 @@ fn fo_planned_order_is_result_invariant_64_cases() {
                 o.is_ok()
             ),
         }
+        answered += usize::from(pipeline_matches_the_oracle(case, &db, &formula));
+    }
+    assert!(answered >= 48, "only {answered} of 64 cases were answered");
+}
+
+/// The FO pipeline against the bare evaluator: explain on ≡ explain off
+/// ≡ `fo::eval`, and every node of the explained plan is measured.
+/// Returns whether the case was answered (not rejected by all three).
+fn pipeline_matches_the_oracle(case: u64, db: &Database, formula: &Formula) -> bool {
+    let off = query_fo(db, None, formula, &QueryOptions::default());
+    let explained = QueryOptions {
+        explain: true,
+        ..QueryOptions::default()
+    };
+    let on = query_fo(db, None, formula, &explained);
+    match (eval_fo(db, formula), off, on) {
+        (Ok(oracle), Ok(off), Ok(on)) => {
+            assert_eq!(off.result.columns, oracle.columns, "case {case}: {formula}");
+            assert_eq!(on.result.columns, oracle.columns, "case {case}: {formula}");
+            assert!(
+                off.result.relation.equivalent(&oracle.relation),
+                "case {case}: pipeline diverges from fo::eval for {formula}"
+            );
+            assert!(
+                on.result.relation.equivalent(&oracle.relation),
+                "case {case}: explained pipeline diverges from fo::eval for {formula}"
+            );
+            assert!(
+                off.plan.is_none(),
+                "case {case}: plan built with explain off"
+            );
+            let plan = on.plan.expect("explain on returns a plan");
+            assert!(
+                plan.root.fully_measured(),
+                "case {case}: unmeasured node in\n{}",
+                plan.render()
+            );
+            true
+        }
+        (Err(_), Err(_), Err(_)) => false,
+        (oracle, off, on) => panic!(
+            "case {case}: pipeline and fo::eval disagree on failure for {formula}: \
+             oracle {:?}, explain off {:?}, explain on {:?}",
+            oracle.err(),
+            off.err(),
+            on.err()
+        ),
     }
 }
 

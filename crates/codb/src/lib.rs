@@ -39,60 +39,52 @@
 //! assert!(q.relation.contains_point(&[rat(3, 1)]));
 //! ```
 //!
-//! ## Checked evaluation
+//! ## Query pipelines
 //!
-//! Every evaluator has a `checked_*` variant that runs the [`analysis`]
-//! lint pass first and rejects bad queries with span-carrying diagnostics
-//! instead of panicking or failing mid-evaluation:
-//!
-//! ```
-//! use dco::prelude::*;
-//! use dco::fo::CheckedEvalError;
-//!
-//! let db = Database::new(Schema::new().with("e", 2));
-//!
-//! // Arity mismatch: rejected up front, never evaluated.
-//! let err = checked_eval_str(&db, "e(x, y, z)").unwrap_err();
-//! let CheckedEvalError::Rejected(diags) = err else { unreachable!() };
-//! assert_eq!(diags[0].code, "DCO102");
-//!
-//! // A statically-dead rule body is pruned before the fixpoint runs.
-//! let p = parse_program(
-//!     "tc(x,y) :- e(x,y).\n\
-//!      tc(x,y) :- e(x,y), x < y, y < x.\n").unwrap();
-//! let out = checked_run(&p, &db).unwrap();
-//! assert_eq!(out.pruned_rules, 1); // warning DCO401, line 2
-//! ```
-//!
-//! ## Fault-tolerant evaluation
-//!
-//! Every evaluator also has a `try_*` variant that runs under a runtime
-//! guard ([`core::guard`]): deadlines, tuple/atom budgets, cooperative
-//! cancellation, checked arithmetic, and panic containment. A fault-free
-//! guarded run returns exactly the unguarded result plus
-//! [`core::guard::GuardStats`];
-//! any trip comes back as a typed fault, never a process abort:
+//! Each language has one analyzed, guarded entry point — [`fo::query`],
+//! [`linear::query_linear`], [`datalog::run_program`] — that runs the
+//! [`analysis`] lint pass first, plans by the database statistics, and
+//! evaluates under a runtime guard ([`core::guard`]) whose budgets come
+//! from the statistics and can only be tightened by the caller. Bad
+//! queries are rejected with span-carrying diagnostics; deadlines,
+//! budgets, cancellation, overflow and contained panics come back as a
+//! typed fault, never a process abort. A fault-free run returns exactly
+//! the bare evaluator's result plus [`core::guard::GuardStats`]:
 //!
 //! ```
 //! use dco::prelude::*;
 //! use std::time::Duration;
 //!
-//! let db = Database::new(Schema::new());
-//! // Fault-free: identical to the unguarded evaluator, plus stats.
-//! let out = try_eval_str(&db, "exists x . (0 < x & x < 1)").unwrap();
-//! assert_eq!(out.value.as_bool(), Some(true));
+//! let db = Database::new(Schema::new().with("e", 2));
+//!
+//! // Arity mismatch: rejected up front, never evaluated.
+//! let err = query_fo(&db, None, "e(x, y, z)", &QueryOptions::default()).unwrap_err();
+//! let QueryError::Rejected(diags) = err else { unreachable!() };
+//! assert_eq!(diags[0].code, "DCO102");
+//!
+//! // Fault-free: the bare evaluator's answer, plus the guard's counters.
+//! let out = query_fo(&db, None, "exists x . (0 < x & x < 1)", &QueryOptions::default()).unwrap();
+//! assert_eq!(out.result.as_bool(), Some(true));
 //!
 //! // A zero deadline trips deterministically with a typed error.
-//! let limits = GuardLimits::none().with_deadline(Duration::ZERO);
-//! let formula = parse_formula("exists x . (0 < x & x < 1)").unwrap();
-//! let err = dco::fo::try_eval_with(&db, &formula, limits).unwrap_err();
+//! let opts = QueryOptions {
+//!     limits: GuardLimits::none().with_deadline(Duration::ZERO),
+//!     ..QueryOptions::default()
+//! };
+//! let err = query_fo(&db, None, "exists x . (0 < x & x < 1)", &opts).unwrap_err();
 //! assert!(matches!(
 //!     err,
-//!     dco::fo::TryEvalError::Fault(GuardError {
+//!     QueryError::Fault(GuardError {
 //!         kind: GuardErrorKind::DeadlineExceeded { .. },
 //!         ..
 //!     })
 //! ));
+//!
+//! // A statically-dead rule body is pruned before the fixpoint runs.
+//! let p = "tc(x,y) :- e(x,y).\n\
+//!          tc(x,y) :- e(x,y), x < y, y < x.\n";
+//! let out = run_program(p, &db, &RunOptions::default()).unwrap();
+//! assert_eq!(out.pruned_rules, 1); // warning DCO401, line 2
 //! ```
 
 #![warn(missing_docs)]
@@ -116,18 +108,13 @@ pub mod prelude {
         analyze_formula, analyze_program, has_errors, AnalysisOptions, Diagnostic, Severity,
     };
     pub use dco_core::prelude::*;
-    pub use dco_datalog::{
-        checked_run, checked_run_stratified, parse_program, run as run_datalog,
-        try_run as try_run_datalog, try_run_stratified, try_run_stratified_with,
-        try_run_with as try_run_datalog_with, TryRunError,
-    };
+    pub use dco_datalog::{parse_program, run as run_datalog, run_program, RunError, RunOptions};
     pub use dco_fo::{
-        checked_eval, checked_eval_str, eval as eval_fo, eval_str as eval_fo_str, try_eval,
-        try_eval_str, try_eval_with, CheckedEvalError, EvalError, TryEvalError,
+        eval as eval_fo, eval_str as eval_fo_str, query as query_fo, EvalError, QueryError,
+        QueryOptions,
     };
     pub use dco_linear::{
-        eval_linear, eval_linear_str, try_eval_linear, try_eval_linear_str, try_eval_linear_with,
-        TryLinEvalError,
+        eval_linear, eval_linear_str, query_linear, LinQueryError, LinQueryOptions,
     };
     pub use dco_logic::{parse_formula, Formula};
     pub use dco_store::{serve, Client, Store, StoreError, StoreOptions};

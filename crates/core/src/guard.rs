@@ -23,8 +23,8 @@
 //!
 //! When a probe finds a limit exceeded (or the cancel flag set) it records
 //! the fault and unwinds with a private sentinel payload. The unwinding is
-//! *contained*: [`run_guarded`] (used by every `try_*` entry point in
-//! `dco-fo`, `dco-linear`, `dco-datalog` and `dco`) catches it at the
+//! *contained*: [`run_guarded`] (the evaluation step of the query
+//! pipelines of `dco-fo`, `dco-linear` and `dco-datalog`) catches it at the
 //! boundary and converts it into a typed [`EvalError`] carrying a
 //! [`GuardStats`] snapshot of the work completed. Code that never installs
 //! a guard never pays more than one thread-local flag read per probe and
@@ -621,7 +621,7 @@ pub fn stage_completed() {
 /// panic exactly like the seed's unchecked operators did. All `Rational`
 /// operator impls route their overflow path through here, which is what
 /// turns engine-path arithmetic overflow into a typed [`EvalError`] at
-/// every `try_*` boundary.
+/// every [`run_guarded`] boundary.
 pub fn raise_overflow(context: &'static str) -> ! {
     if let Some(g) = current() {
         trip_and_abort(&g.shared, EvalErrorKind::Overflow(context));

@@ -49,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod atom;
 pub mod automorphism;
 pub mod cache;

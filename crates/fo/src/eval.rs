@@ -14,6 +14,9 @@
 //! context temporarily and are projected away; quantifier shadowing is
 //! resolved by alpha-renaming.
 
+use dco_analysis::explain::PlanNode;
+use dco_analysis::planner::estimate_formula;
+use dco_analysis::stats::DbStats;
 use dco_core::prelude::*;
 use dco_logic::{ArgTerm, Formula, LinExpr};
 use std::collections::BTreeSet;
@@ -109,77 +112,133 @@ pub fn eval_in_ctx(
     formula: &Formula,
     ctx: &[String],
 ) -> Result<GeneralizedRelation, EvalError> {
+    eval_node(db, formula, ctx, None).map(|(r, _)| r)
+}
+
+/// The evaluator proper. With `explain` set it also returns the
+/// [`PlanNode`] of `formula`: the planner's estimate under those
+/// statistics and the width of the relation this call produced, with one
+/// child per subformula it evaluated. Without it, no node is built and
+/// no estimate is computed.
+pub(crate) fn eval_node(
+    db: &Database,
+    formula: &Formula,
+    ctx: &[String],
+    explain: Option<&DbStats>,
+) -> Result<(GeneralizedRelation, Option<PlanNode>), EvalError> {
     let k = ctx.len() as u32;
     let col = |name: &str| -> Option<u32> { ctx.iter().position(|c| c == name).map(|i| i as u32) };
+    let node = |label: &str, detail: &dyn Fn() -> String, out: &GeneralizedRelation, children| {
+        explain.map(|stats| {
+            PlanNode::new(label, detail(), estimate_formula(formula, stats))
+                .with_actual(out.len() as u64)
+                .with_children(children)
+        })
+    };
+    let none = || String::new();
     match formula {
-        Formula::True => Ok(GeneralizedRelation::universe(k)),
-        Formula::False => Ok(GeneralizedRelation::empty(k)),
+        Formula::True => {
+            let r = GeneralizedRelation::universe(k);
+            let n = node("true", &none, &r, Vec::new());
+            Ok((r, n))
+        }
+        Formula::False => {
+            let r = GeneralizedRelation::empty(k);
+            let n = node("false", &none, &r, Vec::new());
+            Ok((r, n))
+        }
         Formula::Compare(l, op, r) => {
             let lt = simple_term(l, &col)
                 .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
             let rt = simple_term(r, &col)
                 .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
-            Ok(GeneralizedRelation::from_raw(
-                k,
-                [RawAtom::new(lt, *op, rt)],
-            ))
+            let rel = GeneralizedRelation::from_raw(k, [RawAtom::new(lt, *op, rt)]);
+            let n = node("compare", &|| formula.to_string(), &rel, Vec::new());
+            Ok((rel, n))
         }
-        Formula::Pred(name, args) => eval_pred(db, name, args, ctx),
+        Formula::Pred(name, args) => {
+            let rel = eval_pred(db, name, args, ctx)?;
+            let n = node("pred", &|| name.clone(), &rel, Vec::new());
+            Ok((rel, n))
+        }
         Formula::Not(f) => {
-            let r = eval_in_ctx(db, f, ctx)?;
-            Ok(maybe_simplify(r.complement()))
+            let (r, c) = eval_node(db, f, ctx, explain)?;
+            let out = maybe_simplify(r.complement());
+            let n = node("not", &none, &out, c.into_iter().collect());
+            Ok((out, n))
         }
         Formula::And(fs) => {
             let mut acc = GeneralizedRelation::universe(k);
+            let mut children = Vec::new();
             for f in fs {
-                acc = acc.intersect(&eval_in_ctx(db, f, ctx)?);
-                acc = maybe_simplify(acc);
+                let (r, c) = eval_node(db, f, ctx, explain)?;
+                children.extend(c);
+                acc = maybe_simplify(acc.intersect(&r));
                 if acc.is_empty() {
                     break;
                 }
             }
-            Ok(acc)
+            let n = node("and", &none, &acc, children);
+            Ok((acc, n))
         }
         Formula::Or(fs) => {
             let mut acc = GeneralizedRelation::empty(k);
+            let mut children = Vec::new();
             for f in fs {
-                acc = acc.union(&eval_in_ctx(db, f, ctx)?);
+                let (r, c) = eval_node(db, f, ctx, explain)?;
+                children.extend(c);
+                acc = acc.union(&r);
             }
-            Ok(maybe_simplify(acc))
+            let acc = maybe_simplify(acc);
+            let n = node("or", &none, &acc, children);
+            Ok((acc, n))
         }
         Formula::Implies(a, b) => {
-            let na = eval_in_ctx(db, a, ctx)?.complement();
-            let rb = eval_in_ctx(db, b, ctx)?;
-            Ok(maybe_simplify(na.union(&rb)))
+            let (ra, ca) = eval_node(db, a, ctx, explain)?;
+            let (rb, cb) = eval_node(db, b, ctx, explain)?;
+            let out = maybe_simplify(ra.complement().union(&rb));
+            let n = node("implies", &none, &out, ca.into_iter().chain(cb).collect());
+            Ok((out, n))
         }
         Formula::Iff(a, b) => {
-            let ra = eval_in_ctx(db, a, ctx)?;
-            let rb = eval_in_ctx(db, b, ctx)?;
+            let (ra, ca) = eval_node(db, a, ctx, explain)?;
+            let (rb, cb) = eval_node(db, b, ctx, explain)?;
             let both = ra.intersect(&rb);
             let neither = ra.complement().intersect(&rb.complement());
-            Ok(maybe_simplify(both.union(&neither)))
+            let out = maybe_simplify(both.union(&neither));
+            let n = node("iff", &none, &out, ca.into_iter().chain(cb).collect());
+            Ok((out, n))
         }
         Formula::Exists(vs, body) => {
             // Alpha-rename bound variables that collide with the context.
             let (fresh_vs, body) = freshen(vs, body, ctx);
             let mut ctx2: Vec<String> = ctx.to_vec();
             ctx2.extend(fresh_vs.iter().cloned());
-            let mut r = eval_in_ctx(db, &body, &ctx2)?;
+            let (mut r, c) = eval_node(db, &body, &ctx2, explain)?;
             for i in (ctx.len()..ctx2.len()).rev() {
                 r = r.project_out(Var(i as u32));
             }
-            Ok(maybe_simplify(r.narrow(k)))
+            let out = maybe_simplify(r.narrow(k));
+            let n = node(
+                "exists",
+                &|| fresh_vs.join(", "),
+                &out,
+                c.into_iter().collect(),
+            );
+            Ok((out, n))
         }
         Formula::Forall(vs, body) => {
-            // ∀x.φ = ¬∃x.¬φ
+            // ∀x.φ = ¬∃x.¬φ; the rewrite stays visible as the child subtree.
             let inner = Formula::Exists(vs.clone(), Box::new(Formula::not((**body).clone())));
-            let r = eval_in_ctx(db, &inner, ctx)?;
-            Ok(maybe_simplify(r.complement()))
+            let (r, c) = eval_node(db, &inner, ctx, explain)?;
+            let out = maybe_simplify(r.complement());
+            let n = node("forall", &|| vs.join(", "), &out, c.into_iter().collect());
+            Ok((out, n))
         }
     }
 }
 
-pub(crate) fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
+fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
     if r.len() > SIMPLIFY_THRESHOLD {
         r.simplify()
     } else {
@@ -188,7 +247,7 @@ pub(crate) fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
 }
 
 /// Convert a simple linear expression to a core term over context columns.
-pub(crate) fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> {
+fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> {
     if let Some(v) = e.as_simple_var() {
         // Free vars are always in ctx by construction; treat missing as a
         // caller bug surfaced as NotDenseOrder upstream.
@@ -201,7 +260,7 @@ pub(crate) fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Op
 ///
 /// The predicate's columns are appended as temporary columns, linked to the
 /// context (or pinned to constants), and projected away.
-pub(crate) fn eval_pred(
+fn eval_pred(
     db: &Database,
     name: &str,
     args: &[ArgTerm],
@@ -247,7 +306,7 @@ pub(crate) fn eval_pred(
 
 /// Alpha-rename quantified variables that collide with the enclosing
 /// context, rewriting the body accordingly.
-pub(crate) fn freshen(vs: &[String], body: &Formula, ctx: &[String]) -> (Vec<String>, Formula) {
+fn freshen(vs: &[String], body: &Formula, ctx: &[String]) -> (Vec<String>, Formula) {
     let mut taken: BTreeSet<String> = ctx.iter().cloned().collect();
     let mut out_vs = Vec::with_capacity(vs.len());
     let mut out_body = body.clone();

@@ -21,12 +21,12 @@
 
 pub mod atom;
 pub mod eval;
-pub mod guarded;
+pub mod pipeline;
 pub mod relation;
 pub mod tuple;
 
 pub use atom::{LinAtom, NormalizedAtom};
 pub use eval::{eval_linear, eval_linear_str, LinEvalError, LinQueryResult};
-pub use guarded::{try_eval_linear, try_eval_linear_str, try_eval_linear_with, TryLinEvalError};
+pub use pipeline::{query_linear, LinAnswer, LinQueryError, LinQueryOptions};
 pub use relation::LinRelation;
 pub use tuple::LinTuple;

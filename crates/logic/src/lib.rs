@@ -18,9 +18,11 @@
 pub mod ast;
 pub mod datalog;
 pub mod parser;
+pub mod source;
 pub mod transform;
 
 pub use ast::{ArgTerm, Formula, LinExpr};
 pub use datalog::{parse_program, DatalogParseError, Literal, Program, ProgramError, Rule};
 pub use parser::{parse_formula, ParseError};
+pub use source::{FormulaSource, ProgramSource};
 pub use transform::{from_prenex, prenex_rank, to_nnf, to_prenex, Quantifier};

@@ -945,17 +945,19 @@ fn respond_ctx(store: &Store, line: &str, serve: Option<&ServeCounters>) -> (Str
     respond_timed(store, line, serve, None)
 }
 
-/// Evaluate a `QUERY`/`EXPLAIN` under the request's deadline/budget
-/// options. `enqueued` (when known) is the queue-wait clock: a request
-/// whose deadline elapsed while queued is rejected without evaluating,
-/// and the evaluation guard gets the *remaining* deadline, capped by
-/// [`SERVER_DEADLINE_CAP`]. With calibrated cost data, a query whose
-/// projected evaluation cannot finish in the remainder is shed instead
-/// of started (unless the prepared cache already holds its answer).
+/// Evaluate a `QUERY` — or, with `explain`, an `EXPLAIN` — under the
+/// request's deadline/budget options. `enqueued` (when known) is the
+/// queue-wait clock: a request whose deadline elapsed while queued is
+/// rejected without evaluating, and the evaluation guard gets the
+/// *remaining* deadline, capped by [`SERVER_DEADLINE_CAP`]. With
+/// calibrated cost data, a query whose projected evaluation cannot
+/// finish in the remainder is shed instead of started (unless the
+/// prepared cache already holds its answer; EXPLAIN never uses it).
 fn run_read(
     store: &Store,
     opts: QueryOpts,
     src: &str,
+    explain: bool,
     serve: Option<&ServeCounters>,
     enqueued: Option<Instant>,
 ) -> Result<String, StoreError> {
@@ -981,7 +983,7 @@ fn run_read(
     let est = store.estimate_query_cost(&formula);
     if let Some(c) = serve {
         let rate = c.ewma_cost_ns.load(Ordering::Relaxed);
-        if rate > 0 && !store.has_prepared(&formula) {
+        if rate > 0 && (explain || !store.has_prepared(&formula)) {
             let projected = cost::projected_eval_time(est, rate);
             if projected > budget {
                 c.shed_overload.fetch_add(1, Ordering::Relaxed);
@@ -999,9 +1001,15 @@ fn run_read(
     if let Some(n) = opts.max_atoms {
         limits = limits.with_max_atoms(n);
     }
-    let out = store.query_formula_limited(&formula, limits)?;
+    let (reply, cached) = if explain {
+        let out = store.explain_formula_limited(&formula, limits)?;
+        (wire::explain_output_to_json(&out), false)
+    } else {
+        let out = store.query_formula_limited(&formula, limits)?;
+        (wire::query_output_to_json(&out), out.cached)
+    };
     if let Some(c) = serve {
-        if !out.cached {
+        if !cached {
             let per_unit = started.elapsed().as_nanos() as f64 / est.max(1.0);
             ewma_update(&c.ewma_cost_ns, per_unit as u64);
         }
@@ -1012,34 +1020,7 @@ fn run_read(
             }
         }
     }
-    Ok(wire::query_output_to_json(&out))
-}
-
-/// `EXPLAIN` under the same admission rules as [`run_read`] — deadline
-/// expiry is honored at dequeue, but the plan measurement itself runs
-/// unguarded (EXPLAIN is for inspection, not serving).
-fn run_explain(
-    store: &Store,
-    opts: QueryOpts,
-    src: &str,
-    serve: Option<&ServeCounters>,
-    enqueued: Option<Instant>,
-) -> Result<String, StoreError> {
-    let waited = enqueued.map_or(Duration::ZERO, |t| t.elapsed());
-    if let Some(d) = opts.deadline_ms {
-        if waited >= Duration::from_millis(d) {
-            if let Some(c) = serve {
-                c.expired_deadline.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(StoreError::DeadlineExceeded {
-                elapsed_ms: waited.as_millis() as u64,
-                limit_ms: d,
-            });
-        }
-    }
-    store
-        .query_explain(src)
-        .map(|out| wire::explain_output_to_json(&out))
+    Ok(reply)
 }
 
 /// [`respond_ctx`] with the enqueue instant in scope — the full serving
@@ -1070,8 +1051,8 @@ fn respond_timed(
         }
         Request::Ping => Ok("pong".to_string()),
         Request::Close => return ("OK bye".to_string(), true),
-        Request::Query(opts, src) => run_read(store, opts, &src, serve, enqueued),
-        Request::Explain(opts, src) => run_explain(store, opts, &src, serve, enqueued),
+        Request::Query(opts, src) => run_read(store, opts, &src, false, serve, enqueued),
+        Request::Explain(opts, src) => run_read(store, opts, &src, true, serve, enqueued),
         Request::Create(name, arity) => store.create(&name, arity).map(|seq| seq.to_string()),
         Request::Drop(name) => store.drop_relation(&name).map(|seq| seq.to_string()),
         Request::Insert(name, body) => with_relation(&body, |rel| store.insert(&name, rel)),
@@ -1425,6 +1406,32 @@ mod tests {
             Some(Instant::now()),
         );
         assert!(r.starts_with("ERR DEADLINE_EXCEEDED"), "got {r}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn explain_is_guarded_like_query() {
+        let dir = tmpdir("explain-guard");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        store.create("r", 2).unwrap();
+        let rel = GeneralizedRelation::from_raw(
+            2,
+            vec![RawAtom::new(Term::var(0), RawOp::Lt, Term::var(1))],
+        );
+        store.insert("r", rel).unwrap();
+        let complement = "!(r(x, y) | r(y, x) | x < y)";
+        let (r, _) = respond(&store, &format!("EXPLAIN @max_tuples=1 {complement}"));
+        assert!(r.starts_with("ERR"), "got {r}");
+        assert!(r.contains("budget exceeded"), "got {r}");
+        // The store entry point takes the same limits.
+        let formula = dco_logic::parse_formula(complement).unwrap();
+        let err = store
+            .explain_formula_limited(&formula, GuardLimits::none().with_max_tuples(1))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Fault(_)), "got {err}");
+        // Unlimited by the request, the plan is measured as before.
+        let (r, _) = respond(&store, &format!("EXPLAIN {complement}"));
+        assert!(r.starts_with("OK {"), "got {r}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

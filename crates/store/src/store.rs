@@ -57,11 +57,11 @@ use crate::snapshot;
 use crate::wal::{apply_op, LogOp, Wal};
 use dco_analysis::explain::QueryPlan;
 use dco_analysis::stats::DbStats;
-use dco_analysis::{cost, plan_formula, preflight_formula, AnalysisOptions, Diagnostic};
+use dco_analysis::Diagnostic;
 use dco_core::guard::{self, EvalErrorKind, GuardLimits, GuardStats, ProbeSite};
 use dco_core::intern::{fold, mix64};
 use dco_core::prelude::{Database, GeneralizedRelation, Schema};
-use dco_fo::{explain_with_stats, try_eval_with, TryEvalError};
+use dco_fo::{QueryError, QueryOptions, QueryResult};
 use dco_logic::{parse_formula, Formula};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -1407,7 +1407,7 @@ impl Store {
     /// generation, consulting the prepared-query cache first.
     pub fn query(&self, src: &str) -> Result<QueryOutput, StoreError> {
         let formula = parse_formula(src).map_err(|e| StoreError::Parse(e.to_string()))?;
-        self.query_formula(&formula)
+        self.query_formula_limited(&formula, GuardLimits::none())
     }
 
     /// Cache epoch of a formula under a generation: a fold over the
@@ -1427,11 +1427,6 @@ impl Store {
             h = fold(h, generation.shard_marks[shard_of(name, nshards)]);
         }
         h
-    }
-
-    /// [`Store::query`] for an already-parsed formula.
-    pub fn query_formula(&self, formula: &Formula) -> Result<QueryOutput, StoreError> {
-        self.query_formula_limited(formula, GuardLimits::none())
     }
 
     /// The planner's cost estimate for `formula` against the current
@@ -1458,11 +1453,11 @@ impl Store {
         plock(&self.inner.prepared).get(key).is_some()
     }
 
-    /// [`Store::query_formula`] with extra per-request guard limits
-    /// (the wire's `@deadline_ms=…` options). The request's limits are
-    /// *intersected* with the statistics-derived defaults — a client
-    /// can tighten the budgets the server would enforce, never loosen
-    /// them. A deadline trip surfaces as the typed
+    /// [`Store::query`] for an already-parsed formula, with extra
+    /// per-request guard limits (the wire's `@deadline_ms=…` options).
+    /// The request's limits are *intersected* with the statistics-derived
+    /// defaults — a client can tighten the budgets the server would
+    /// enforce, never loosen them. A deadline trip surfaces as the typed
     /// [`StoreError::DeadlineExceeded`], not a generic fault.
     pub fn query_formula_limited(
         &self,
@@ -1473,8 +1468,9 @@ impl Store {
         // The store owns the per-query trace; the serving layer hands
         // over the request's queue wait via `trace::note_queue_wait`
         // just before calling in, and `begin` turns it into the leading
-        // span. `traced` is false when tracing is off or an enclosing
-        // trace is active — every exit below must then skip `finish`.
+        // span; the FO pipeline adds its phase spans. `traced` is false
+        // when tracing is off or an enclosing trace is active — every
+        // exit below must then skip `finish`.
         let traced =
             obs.tracing.load(Ordering::Relaxed) && dco_obs::trace::begin(&formula.to_string());
         let started = Instant::now();
@@ -1497,82 +1493,54 @@ impl Store {
                 stats: None,
             });
         }
-        // Static preflight: reject before spending evaluation budget.
-        let phase = Instant::now();
-        let preflight = preflight_formula(
-            formula,
-            Some(generation.db.schema()),
-            &AnalysisOptions::default(),
-        );
-        if traced {
-            dco_obs::trace::child("preflight", phase.elapsed());
-        }
-        if let Err(d) = preflight {
-            self.finish_query_trace(traced, started, None);
-            return Err(StoreError::Rejected(d));
-        }
 
-        // Guarded evaluation under estimate-derived budgets, of the
-        // statistics-planned formula (an equivalence-preserving reorder,
-        // so the cache key — the *original* formula's fingerprint — still
-        // identifies the answer). Only queries that reach evaluation
-        // count as cache misses.
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
+        // The FO pipeline: preflight, plan under this generation's
+        // statistics, guarded evaluation. The cache key is the *original*
+        // formula's fingerprint; planning only reorders, so it still
+        // identifies the answer. Only queries that reach evaluation count
+        // as cache misses.
+        let opts = QueryOptions {
+            limits: extra,
+            explain: false,
+        };
         let phase = Instant::now();
-        let limits = cost::suggested_limits_with_stats(
-            formula,
-            &generation.stats,
-            generation.db.constants(),
-        )
-        .tightened(&extra);
-        let planned = plan_formula(formula, &generation.stats);
-        if traced {
-            dco_obs::trace::child("plan", phase.elapsed());
+        let outcome = dco_fo::query(&generation.db, Some(&generation.stats), formula, &opts);
+        let reached_eval = !matches!(outcome, Err(QueryError::Parse(_) | QueryError::Rejected(_)));
+        if reached_eval {
+            self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let phase = Instant::now();
-        let guarded = try_eval_with(&generation.db, &planned, limits);
-        let eval_elapsed = phase.elapsed();
-        obs.h_eval.record_duration(eval_elapsed);
-        if traced {
-            dco_obs::trace::child("eval", eval_elapsed);
-        }
-        let guarded = match guarded {
-            Ok(g) => g,
+        let answer = match outcome {
+            Ok(answer) => {
+                obs.h_eval.record_duration(answer.timings.eval);
+                answer
+            }
             Err(e) => {
+                if reached_eval {
+                    // A failed evaluation reports no phase timings; its
+                    // eval sample is the whole call (analysis and
+                    // planning take microseconds next to it).
+                    obs.h_eval.record_duration(phase.elapsed());
+                }
                 // A failed evaluation is still worth a slow-log entry
                 // (deadline trips are the classic slow query).
-                self.finish_query_trace(traced, started, Some((&planned, &generation, None)));
-                return Err(match e {
-                    TryEvalError::Parse(p) => StoreError::Parse(p.to_string()),
-                    TryEvalError::Invalid(i) => StoreError::Invalid(i.to_string()),
-                    TryEvalError::Fault(f) => match f.kind {
-                        EvalErrorKind::DeadlineExceeded {
-                            elapsed_ms,
-                            limit_ms,
-                        } => StoreError::DeadlineExceeded {
-                            elapsed_ms,
-                            limit_ms,
-                        },
-                        _ => StoreError::Fault(f.to_string()),
-                    },
-                });
+                let evaluated = reached_eval.then_some((formula, &*generation, None));
+                self.finish_query_trace(traced, started, evaluated);
+                return Err(store_error(e));
             }
         };
-
-        let columns = guarded.value.columns;
-        let relation = guarded.value.relation;
+        let QueryResult { columns, relation } = answer.result;
         plock(&self.inner.prepared).put(key, Arc::new((columns.clone(), relation.clone())));
         self.finish_query_trace(
             traced,
             started,
-            Some((&planned, &generation, Some(relation.len() as u64))),
+            Some((formula, &generation, Some(relation.len() as u64))),
         );
         Ok(QueryOutput {
             generation: generation.seq,
             columns,
             relation,
             cached: false,
-            stats: Some(guarded.stats),
+            stats: Some(answer.guard),
         })
     }
 
@@ -1581,14 +1549,17 @@ impl Store {
     /// the total (queue wait included) crosses the slow threshold —
     /// write a slow-log entry carrying the rendered span tree plus the
     /// estimates-side EXPLAIN plan with the measured root cardinality.
-    /// The plan is rebuilt from [`explain_formula`] against the same
-    /// stats snapshot the planner used — a static analysis, so a slow
-    /// query is never re-evaluated just to explain itself.
+    /// The plan is rebuilt by [`explain_formula`], which plans the
+    /// formula against the same stats snapshot the pipeline used — a
+    /// static analysis, so a slow query is never re-evaluated just to
+    /// explain itself.
+    ///
+    /// [`explain_formula`]: dco_analysis::explain::explain_formula
     fn finish_query_trace(
         &self,
         traced: bool,
         started: Instant,
-        planned: Option<(&Formula, &Generation, Option<u64>)>,
+        evaluated: Option<(&Formula, &Generation, Option<u64>)>,
     ) {
         let obs = &self.inner.obs;
         obs.h_total.record_duration(started.elapsed());
@@ -1600,7 +1571,7 @@ impl Store {
         };
         if obs.slowlog.is_slow(record.total_ns) {
             obs.c_slow.inc();
-            let plan = planned
+            let plan = evaluated
                 .map(|(f, generation, actual)| {
                     let mut plan = dco_analysis::explain::explain_formula(f, &generation.stats);
                     if let Some(n) = actual {
@@ -1622,24 +1593,34 @@ impl Store {
     /// Plan and evaluate a query, returning the measured plan instead of
     /// the relation: every node carries the planner's estimated
     /// cardinality and the actual intermediate width the evaluator
-    /// produced. Runs against the current generation's stats snapshot;
-    /// never consults or fills the prepared cache (EXPLAIN is for
-    /// inspection, not serving).
+    /// produced.
     pub fn query_explain(&self, src: &str) -> Result<ExplainOutput, StoreError> {
         let formula = parse_formula(src).map_err(|e| StoreError::Parse(e.to_string()))?;
+        self.explain_formula_limited(&formula, GuardLimits::none())
+    }
+
+    /// [`Store::query_explain`] for an already-parsed formula, under the
+    /// same guard policy as [`Store::query_formula_limited`]: the
+    /// statistics-derived budgets, tightened by the request's limits.
+    /// Runs against the current generation's stats snapshot; never
+    /// consults or fills the prepared cache (its actuals must come from a
+    /// real evaluation).
+    pub fn explain_formula_limited(
+        &self,
+        formula: &Formula,
+        extra: GuardLimits,
+    ) -> Result<ExplainOutput, StoreError> {
         let generation = self.read();
-        preflight_formula(
-            &formula,
-            Some(generation.db.schema()),
-            &AnalysisOptions::default(),
-        )
-        .map_err(StoreError::Rejected)?;
-        let explained = explain_with_stats(&generation.db, &formula, &generation.stats)
-            .map_err(|e| StoreError::Invalid(e.to_string()))?;
+        let opts = QueryOptions {
+            limits: extra,
+            explain: true,
+        };
+        let answer = dco_fo::query(&generation.db, Some(&generation.stats), formula, &opts)
+            .map_err(store_error)?;
         Ok(ExplainOutput {
             generation: generation.seq,
-            columns: explained.result.columns,
-            plan: explained.plan,
+            columns: answer.result.columns,
+            plan: answer.plan.expect("the pipeline returns a plan when asked"),
         })
     }
 
@@ -1727,6 +1708,27 @@ pub struct ExplainOutput {
     pub columns: Vec<String>,
     /// Plan tree with estimated and actual cardinality per node.
     pub plan: QueryPlan,
+}
+
+/// The store's face of a pipeline error. A deadline trip keeps its own
+/// typed variant: the wire renders it as the machine-readable
+/// `DEADLINE_EXCEEDED` token.
+fn store_error(e: QueryError) -> StoreError {
+    match e {
+        QueryError::Parse(p) => StoreError::Parse(p.to_string()),
+        QueryError::Rejected(d) => StoreError::Rejected(d),
+        QueryError::Invalid(i) => StoreError::Invalid(i.to_string()),
+        QueryError::Fault(f) => match f.kind {
+            EvalErrorKind::DeadlineExceeded {
+                elapsed_ms,
+                limit_ms,
+            } => StoreError::DeadlineExceeded {
+                elapsed_ms,
+                limit_ms,
+            },
+            _ => StoreError::Fault(f.to_string()),
+        },
+    }
 }
 
 /// Assemble the global catalog + stats + watermark vector from per-shard

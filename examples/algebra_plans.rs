@@ -1,15 +1,15 @@
-//! The algebra face of the engine: explicit relational-algebra plans and
-//! formula normal forms.
+//! The algebra face of the engine: measured query plans and formula
+//! normal forms.
 //!
-//! \[KKR90\]'s closed-form evaluation theorem is algebraic: every operator
-//! preserves finite representability. This example drives the plan IR
-//! directly (scan/select/project/join/difference), shows the optimizer's
-//! selection pushdown, and round-trips a calculus query through NNF and
-//! prenex normal form.
+//! \[KKR90\]'s closed-form evaluation theorem is algebraic: every
+//! connective maps to an operator of the constraint algebra that preserves
+//! finite representability. This example runs a calculus query through
+//! the FO pipeline with EXPLAIN on — the plan tree shows each operator
+//! with the planner's estimated and the evaluator's actual cardinality —
+//! and round-trips a query through NNF and prenex normal form.
 //!
 //! Run with: `cargo run --example algebra_plans`
 
-use dco::core::algebra::Plan;
 use dco::logic::{from_prenex, prenex_rank, to_nnf, to_prenex};
 use dco::prelude::*;
 
@@ -33,24 +33,31 @@ fn main() {
         .with("stations", stations);
 
     // ------------------------------------------------------------------
-    // 1. A plan: stations that have a reading above 10.
-    //    π_{0}( σ_{value > 10}( readings ⋈_{readings.0 = stations.0} stations ) )
+    // 1. Stations that have a reading above 10:
+    //    π_s σ_{v > 10}(readings ⋈_{readings.s = stations.s} stations),
+    //    written in the calculus and explained as it runs.
     // ------------------------------------------------------------------
-    let plan = Plan::scan("readings")
-        .join_on(Plan::scan("stations"), &[(0, 0)])
-        .select(RawAtom::new(Term::var(1), RawOp::Gt, Term::cst(rat(10, 1))))
-        .project(&[0]);
-    let out = plan.execute(&db).unwrap();
-    println!("stations with a reading > 10: {out}");
-    assert!(out.contains_point(&[rat(3, 1)]));
-    assert!(!out.contains_point(&[rat(9, 1)])); // station 9 not in [1,4]
+    let opts = QueryOptions {
+        explain: true,
+        ..QueryOptions::default()
+    };
+    let q = "exists v . (readings(s, v) & stations(s) & v > 10)";
+    let out = query_fo(&db, None, q, &opts).unwrap();
+    println!("stations with a reading > 10: {}", out.result.relation);
+    assert!(out.result.relation.contains_point(&[rat(3, 1)]));
+    assert!(!out.result.relation.contains_point(&[rat(9, 1)])); // station 9 not in [1,4]
+    let plan = out.plan.expect("explain was requested");
+    println!("{}", plan.render());
+    assert!(plan.root.fully_measured());
 
     // ------------------------------------------------------------------
-    // 2. The optimizer pushes selections; semantics are preserved.
+    // 2. The planner reorders conjuncts; semantics are preserved.
     // ------------------------------------------------------------------
-    let optimized = plan.clone().optimize();
-    let out2 = optimized.execute(&db).unwrap();
-    println!("optimized plan agrees: {}", out2.equivalent(&out));
+    let direct = dco::fo::eval_str(&db, q).unwrap();
+    println!(
+        "planned evaluation agrees with the bare evaluator: {}",
+        direct.relation.equivalent(&out.result.relation)
+    );
 
     // ------------------------------------------------------------------
     // 3. Normal forms: NNF and prenex of a calculus query, evaluated to

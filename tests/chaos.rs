@@ -121,10 +121,14 @@ fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
             let db = fo_db();
             let formula = parse_formula(FO_SRC).expect("fo scenario parses");
             let baseline = dco::fo::eval(&db, &formula).expect("fo baseline");
-            match dco::fo::try_eval_with(&db, &formula, limits) {
-                Ok(g) => Ok(g.value.relation.equivalent(&baseline.relation)
-                    && g.value.columns == baseline.columns),
-                Err(dco::fo::TryEvalError::Fault(f)) => Err(f),
+            let opts = QueryOptions {
+                limits,
+                ..QueryOptions::default()
+            };
+            match query_fo(&db, None, &formula, &opts) {
+                Ok(a) => Ok(a.result.relation.equivalent(&baseline.relation)
+                    && a.result.columns == baseline.columns),
+                Err(QueryError::Fault(f)) => Err(f),
                 Err(e) => panic!("fo scenario is semantically valid, got {e}"),
             }
         }
@@ -132,9 +136,9 @@ fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
             let db = Database::new(Schema::new());
             let formula = parse_formula(LIN_SRC).expect("linear scenario parses");
             let baseline = eval_linear(&db, &formula).expect("linear baseline");
-            match dco::linear::try_eval_linear_with(&db, &formula, limits) {
-                Ok(g) => Ok(g.value.as_bool() == baseline.as_bool()),
-                Err(dco::linear::TryLinEvalError::Fault(f)) => Err(f),
+            match query_linear(&db, &formula, &LinQueryOptions { limits }) {
+                Ok(a) => Ok(a.result.as_bool() == baseline.as_bool()),
+                Err(LinQueryError::Fault(f)) => Err(f),
                 Err(e) => panic!("linear scenario is semantically valid, got {e}"),
             }
         }
@@ -142,15 +146,15 @@ fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
             let db = datalog_db();
             let program = parse_program(DATALOG_SRC).expect("datalog scenario parses");
             let baseline = run_datalog(&program, &db).expect("datalog baseline");
-            match dco::datalog::try_run_with(
-                &program,
-                &db,
-                &dco::datalog::EngineConfig::default(),
+            let opts = RunOptions {
                 limits,
-            ) {
-                Ok(g) => Ok(g.value.database.equivalent(&baseline.database)
-                    && g.value.stats.stages == baseline.stats.stages),
-                Err(dco::datalog::TryRunError::Fault(f)) => Err(f),
+                ..RunOptions::default()
+            };
+            match run_program(&program, &db, &opts) {
+                Ok(a) => {
+                    Ok(a.database.equivalent(&baseline.database) && a.strata == [baseline.stats])
+                }
+                Err(RunError::Fault(f)) => Err(f),
                 Err(e) => panic!("datalog scenario is semantically valid, got {e}"),
             }
         }
@@ -291,16 +295,15 @@ fn aborted_evaluation_leaves_memo_cache_consistent() {
 
     reset_sat_cache();
     let plan = FaultPlan::new(Some(ProbeSite::FixpointStage), 2, InjectedFault::Cancel);
-    let aborted = dco::datalog::try_run_with(
-        &program,
-        &db,
-        &dco::datalog::EngineConfig::default(),
-        GuardLimits::none().with_fault(plan),
-    );
+    let opts = RunOptions {
+        limits: GuardLimits::none().with_fault(plan),
+        ..RunOptions::default()
+    };
+    let aborted = run_program(&program, &db, &opts);
     assert!(
         matches!(
             aborted,
-            Err(dco::datalog::TryRunError::Fault(GuardError {
+            Err(RunError::Fault(GuardError {
                 kind: GuardErrorKind::Cancelled,
                 ..
             }))

@@ -656,3 +656,34 @@ fn overload_sheds_typed_and_keeps_goodput() {
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// EXPLAIN runs under the same guard as QUERY: a starved tuple budget
+/// on a complement-heavy formula comes back as a typed error over TCP,
+/// never as a plan measured without limits.
+#[test]
+fn explain_honours_the_request_budget() {
+    let dir = tmpdir("explain-budget");
+    let store = Store::open(&dir, StoreOptions::default()).unwrap();
+    store.create("r", 2).unwrap();
+    let lt =
+        GeneralizedRelation::from_raw(2, vec![RawAtom::new(Term::var(0), RawOp::Lt, Term::var(1))]);
+    store.insert("r", lt).unwrap();
+    let handle = serve(store.clone(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let complement = "!(r(x, y) | r(y, x) | x < y)";
+    let err = client
+        .call(&format!("EXPLAIN @max_tuples=1 {complement}"))
+        .unwrap_err();
+    assert!(
+        matches!(&err, dco::store::ClientError::Server(m) if m.contains("budget exceeded")),
+        "got {err:?}"
+    );
+    // Without the budget the same EXPLAIN measures its plan.
+    let plan = client.explain(complement).unwrap();
+    assert!(plan.contains("\"act\":1"), "got {plan}");
+
+    client.close().unwrap();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
