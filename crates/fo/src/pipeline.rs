@@ -289,6 +289,19 @@ mod tests {
     }
 
     #[test]
+    fn explain_matches_eval_of_planned_formula() {
+        let db = triangle();
+        let src = "exists y . (R(x, y) & x < 5 & !R(y, x))";
+        let out = run(&db, src, &explained()).unwrap();
+        assert!(out.plan.is_some(), "explain was requested");
+        let f = dco_logic::parse_formula(src).unwrap();
+        let planned = plan_formula(&f, &DbStats::of_database(&db));
+        let direct = crate::eval(&db, &planned).unwrap();
+        assert_eq!(out.result.columns, direct.columns);
+        assert!(out.result.relation.equivalent(&direct.relation));
+    }
+
+    #[test]
     fn every_node_carries_actual_cardinality() {
         let out = run(&triangle(), "forall y . (R(x, y) -> y >= 5)", &explained()).unwrap();
         let plan = out.plan.expect("explain was requested");
