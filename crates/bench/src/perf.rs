@@ -364,9 +364,8 @@ pub fn run_perf(quick: bool, threads: usize) -> Vec<PerfRecord> {
         out.push(join_order_record(n, "planned"));
     }
 
-    // Guard-layer accounting: the same tc fixpoint through the Datalog
-    // pipeline under its default budgets (analysis, planning, probe
-    // overhead and containment; fault-free) and under a deliberately
+    // Guard-layer accounting: the same tc fixpoint under a no-limit guard
+    // (probe overhead + containment, fault-free) and under a deliberately
     // tight tuple budget (every run aborts with a typed fault). The
     // `aborted` and `worker_retries` columns let the regression gate tell
     // a cancelled run from a slow one.
@@ -983,7 +982,7 @@ fn obs_overhead_records(quick: bool) -> Vec<PerfRecord> {
     ]
 }
 
-/// Fault-free pipeline row: unguarded-identical result, plus the guard's
+/// Fault-free guarded row: unguarded-identical result, plus the guard's
 /// own retry counter.
 fn guarded_engine_record(
     experiment: &str,
@@ -997,12 +996,15 @@ fn guarded_engine_record(
     let mut atoms = 0;
     let mut retries = 0;
     let wall_ms = time_ms(|| {
-        let out =
-            run_program(program, db, &RunOptions::default()).expect("fault-free guarded fixpoint");
-        let tc = out.database.get("tc").expect("tc defined");
+        let g = run_guarded(GuardLimits::none(), || {
+            run_with(program, db, &EngineConfig::default())
+        })
+        .expect("fault-free guarded fixpoint");
+        let fix = g.value.expect("fault-free guarded fixpoint");
+        let tc = fix.database.get("tc").expect("tc defined");
         tuples = tc.len();
         atoms = tc.size();
-        retries = out.guard.worker_retries;
+        retries = g.stats.worker_retries;
     });
     let stats = sat_cache_stats();
     PerfRecord {
@@ -1035,17 +1037,16 @@ fn guarded_abort_record(
     let mut aborted = 0u64;
     let mut retries = 0u64;
     let wall_ms = time_ms(|| {
-        let opts = RunOptions {
-            limits: GuardLimits::none().with_max_tuples(1),
-            ..RunOptions::default()
-        };
-        match run_program(program, db, &opts) {
-            Ok(out) => retries += out.guard.worker_retries,
-            Err(e) => {
+        let limits = GuardLimits::none().with_max_tuples(1);
+        match run_guarded(limits, || run_with(program, db, &EngineConfig::default())) {
+            Ok(g) if g.value.is_ok() => retries += g.stats.worker_retries,
+            Ok(g) => {
                 aborted += 1;
-                if let RunError::Fault(f) = e {
-                    retries += f.stats.worker_retries;
-                }
+                retries += g.stats.worker_retries;
+            }
+            Err(f) => {
+                aborted += 1;
+                retries += f.stats.worker_retries;
             }
         }
     });

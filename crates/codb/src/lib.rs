@@ -74,10 +74,13 @@
 //! let err = query_fo(&db, None, "exists x . (0 < x & x < 1)", &opts).unwrap_err();
 //! assert!(matches!(
 //!     err,
-//!     QueryError::Fault(GuardError {
-//!         kind: GuardErrorKind::DeadlineExceeded { .. },
+//!     QueryError::Fault {
+//!         error: GuardError {
+//!             kind: GuardErrorKind::DeadlineExceeded { .. },
+//!             ..
+//!         },
 //!         ..
-//!     })
+//!     }
 //! ));
 //!
 //! // A statically-dead rule body is pruned before the fixpoint runs.

@@ -289,7 +289,10 @@ impl GuardLimits {
     /// unbounded on that axis. This is how a server combines the
     /// client's requested deadline/budgets with its own caps: a client
     /// can only ever tighten what the server would have enforced. The
-    /// fault plan is taken from `self` (fault injection is never
+    /// fault plan is taken from `self`: the query pipelines call this on
+    /// their caller's limits, so a caller that arms a fault plan (chaos
+    /// testing) keeps it, and a server strips any plan from a client's
+    /// request before passing it on (fault injection is never
     /// client-requestable).
     pub fn tightened(self, other: &GuardLimits) -> GuardLimits {
         fn min_opt<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {

@@ -15,7 +15,7 @@
 //!    tighten those defaults, never loosen them.
 //! 4. **Evaluate** the planned formula under the guard. Every fault —
 //!    budget, deadline, cancellation, overflow, a contained panic — comes
-//!    back as a typed [`QueryError::Fault`].
+//!    back as a typed [`QueryError::Fault`], with the phase timings.
 //!
 //! With [`QueryOptions::explain`] set, the evaluator also records the plan
 //! tree of what it ran: estimated and actual cardinality per node. The
@@ -55,10 +55,19 @@ pub enum QueryError {
     Rejected(Vec<Diagnostic>),
     /// A semantic error the evaluator found (unknown predicate, arity
     /// mismatch, not in the dense-order fragment).
-    Invalid(EvalError),
-    /// The guard tripped or a panic was contained; carries the typed
-    /// fault and the partial-progress statistics.
-    Fault(GuardError),
+    Invalid {
+        /// The evaluator's error.
+        error: EvalError,
+        /// Wall time of the phases that ran, evaluation included.
+        timings: PhaseTimings,
+    },
+    /// The guard tripped or a panic was contained.
+    Fault {
+        /// The typed fault and the partial-progress statistics.
+        error: GuardError,
+        /// Wall time of the phases that ran, evaluation included.
+        timings: PhaseTimings,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -72,8 +81,8 @@ impl fmt::Display for QueryError {
                 }
                 Ok(())
             }
-            QueryError::Invalid(e) => write!(f, "invalid query: {e}"),
-            QueryError::Fault(e) => write!(f, "evaluation fault: {e}"),
+            QueryError::Invalid { error, .. } => write!(f, "invalid query: {error}"),
+            QueryError::Fault { error, .. } => write!(f, "evaluation fault: {error}"),
         }
     }
 }
@@ -139,17 +148,20 @@ pub fn query(
     let eval_time = phase.elapsed();
     trace::child("eval", eval_time);
 
-    let guarded = outcome.map_err(QueryError::Fault)?;
-    let (relation, root) = guarded.value.map_err(QueryError::Invalid)?;
+    let timings = PhaseTimings {
+        preflight: preflight_time,
+        plan: plan_time,
+        eval: eval_time,
+    };
+    let guarded = outcome.map_err(|error| QueryError::Fault { error, timings })?;
+    let (relation, root) = guarded
+        .value
+        .map_err(|error| QueryError::Invalid { error, timings })?;
     Ok(QueryAnswer {
         result: QueryResult { columns, relation },
         warnings,
         guard: guarded.stats,
-        timings: PhaseTimings {
-            preflight: preflight_time,
-            plan: plan_time,
-            eval: eval_time,
-        },
+        timings,
         plan: root.map(|root| QueryPlan {
             planned: planned.to_string(),
             root,
@@ -249,19 +261,26 @@ mod tests {
 
     #[test]
     fn fault_free_guarded_run_matches_unguarded() {
+        // The pipeline evaluates the planned formula with the bare
+        // evaluator's recursion; the guard only observes, so the answer is
+        // structurally identical to the unguarded run of that formula.
+        let db = triangle();
         let src = "exists y . (R(x, y) & x < y)";
-        let unguarded = crate::eval_str(&triangle(), src).unwrap();
-        let out = run(&triangle(), src, &QueryOptions::default()).unwrap();
-        assert_eq!(out.result.columns, unguarded.columns);
-        assert!(out.result.relation.equivalent(&unguarded.relation));
-        assert!(out.guard.probes > 0, "evaluation must hit probes");
+        let f = dco_logic::parse_formula(src).unwrap();
+        let unguarded = crate::eval(&db, &plan_formula(&f, &DbStats::of_database(&db))).unwrap();
+        for opts in [QueryOptions::default(), explained()] {
+            let out = run(&db, src, &opts).unwrap();
+            assert_eq!(out.result.columns, unguarded.columns);
+            assert_eq!(out.result.relation, unguarded.relation);
+            assert!(out.guard.probes > 0, "evaluation must hit probes");
+        }
     }
 
     #[test]
     fn tight_budget_returns_typed_error_with_stats() {
         let opts = limited(GuardLimits::none().with_max_tuples(1));
         let err = run(&triangle(), "!(R(x, y) | R(y, x) | x < y)", &opts).unwrap_err();
-        let QueryError::Fault(f) = err else {
+        let QueryError::Fault { error: f, .. } = err else {
             panic!("expected a guard fault, got {err}");
         };
         assert!(matches!(f.kind, EvalErrorKind::BudgetExceeded { .. }));
@@ -272,7 +291,7 @@ mod tests {
     fn zero_deadline_trips_fast() {
         let opts = limited(GuardLimits::none().with_deadline(Duration::ZERO));
         let err = run(&triangle(), "!(R(x, y) | R(y, x))", &opts).unwrap_err();
-        let QueryError::Fault(f) = err else {
+        let QueryError::Fault { error: f, .. } = err else {
             panic!("expected a guard fault, got {err}");
         };
         assert!(matches!(f.kind, EvalErrorKind::DeadlineExceeded { .. }));
@@ -333,7 +352,7 @@ mod tests {
         };
         let err = run(&db, "!(R(x, y) | R(y, x) | x < y)", &opts).unwrap_err();
         assert!(
-            matches!(err, QueryError::Fault(_)),
+            matches!(err, QueryError::Fault { .. }),
             "explain is guarded too"
         );
     }

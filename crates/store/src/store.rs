@@ -1500,27 +1500,25 @@ impl Store {
         // identifies the answer. Only queries that reach evaluation count
         // as cache misses.
         let opts = QueryOptions {
-            limits: extra,
+            limits: request_limits(extra),
             explain: false,
         };
-        let phase = Instant::now();
         let outcome = dco_fo::query(&generation.db, Some(&generation.stats), formula, &opts);
-        let reached_eval = !matches!(outcome, Err(QueryError::Parse(_) | QueryError::Rejected(_)));
-        if reached_eval {
+        let eval_time = match &outcome {
+            Ok(answer) => Some(answer.timings.eval),
+            Err(QueryError::Invalid { timings, .. } | QueryError::Fault { timings, .. }) => {
+                Some(timings.eval)
+            }
+            Err(QueryError::Parse(_) | QueryError::Rejected(_)) => None,
+        };
+        let reached_eval = eval_time.is_some();
+        if let Some(t) = eval_time {
             self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
+            obs.h_eval.record_duration(t);
         }
         let answer = match outcome {
-            Ok(answer) => {
-                obs.h_eval.record_duration(answer.timings.eval);
-                answer
-            }
+            Ok(answer) => answer,
             Err(e) => {
-                if reached_eval {
-                    // A failed evaluation reports no phase timings; its
-                    // eval sample is the whole call (analysis and
-                    // planning take microseconds next to it).
-                    obs.h_eval.record_duration(phase.elapsed());
-                }
                 // A failed evaluation is still worth a slow-log entry
                 // (deadline trips are the classic slow query).
                 let evaluated = reached_eval.then_some((formula, &*generation, None));
@@ -1612,7 +1610,7 @@ impl Store {
     ) -> Result<ExplainOutput, StoreError> {
         let generation = self.read();
         let opts = QueryOptions {
-            limits: extra,
+            limits: request_limits(extra),
             explain: true,
         };
         let answer = dco_fo::query(&generation.db, Some(&generation.stats), formula, &opts)
@@ -1710,6 +1708,15 @@ pub struct ExplainOutput {
     pub plan: QueryPlan,
 }
 
+/// A request's limits as the pipeline takes them: its deadline and
+/// budgets, never a fault plan (fault injection is not requestable).
+fn request_limits(extra: GuardLimits) -> GuardLimits {
+    GuardLimits {
+        fault_plan: None,
+        ..extra
+    }
+}
+
 /// The store's face of a pipeline error. A deadline trip keeps its own
 /// typed variant: the wire renders it as the machine-readable
 /// `DEADLINE_EXCEEDED` token.
@@ -1717,8 +1724,8 @@ fn store_error(e: QueryError) -> StoreError {
     match e {
         QueryError::Parse(p) => StoreError::Parse(p.to_string()),
         QueryError::Rejected(d) => StoreError::Rejected(d),
-        QueryError::Invalid(i) => StoreError::Invalid(i.to_string()),
-        QueryError::Fault(f) => match f.kind {
+        QueryError::Invalid { error, .. } => StoreError::Invalid(error.to_string()),
+        QueryError::Fault { error: f, .. } => match f.kind {
             EvalErrorKind::DeadlineExceeded {
                 elapsed_ms,
                 limit_ms,
@@ -1906,6 +1913,31 @@ mod tests {
         // A write to `b` itself does invalidate.
         store.insert(&b, interval(100, 101)).unwrap();
         assert!(!store.query(&src).unwrap().cached);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn request_limits_cannot_arm_a_fault() {
+        use dco_core::guard::faults::{injection_enabled, FaultPlan, InjectedFault};
+        let dir = tmpdir("nofault");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        store.create("R", 2).unwrap();
+        store.insert("R", triangle()).unwrap();
+        let f = parse_formula("exists y . R(x, y)").unwrap();
+        let armed =
+            || GuardLimits::none().with_fault(FaultPlan::new(None, 1, InjectedFault::Panic));
+        // Handed to the pipeline directly, the plan fires at the first probe.
+        if injection_enabled() {
+            let db = Database::new(Schema::new().with("R", 2)).with("R", triangle());
+            let opts = QueryOptions {
+                limits: armed(),
+                explain: false,
+            };
+            let direct = dco_fo::query(&db, None, &f, &opts);
+            assert!(matches!(direct, Err(QueryError::Fault { .. })));
+        }
+        assert!(store.query_formula_limited(&f, armed()).is_ok());
+        assert!(store.explain_formula_limited(&f, armed()).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,6 +16,7 @@
 //! runs must be structurally identical, not merely equivalent-modulo-
 //! timeout, because probes observe and never alter the computation.
 
+use dco::analysis::{planner::plan_formula, stats::DbStats};
 use dco::core::guard::faults::{injection_enabled, FaultPlan, InjectedFault};
 use dco::prelude::*;
 use std::time::{Duration, Instant};
@@ -113,22 +114,29 @@ fn geo_region() -> dco::geo::Region {
     dco::geo::Region::closed_box(0, 1, 0, 1).union(&dco::geo::Region::closed_box(3, 4, 3, 4))
 }
 
-/// Run one scenario under `limits`; `Ok(true)` means the guarded result is
-/// structurally identical to the unguarded baseline.
+/// Run one scenario under `limits`; `Ok(true)` means the guarded result
+/// matches the unguarded baseline: structurally identical for FO and the
+/// FO+ verdict; for Datalog¬, whose pipeline also plans rule bodies, the
+/// same fixpoint stages and an equivalent database.
 fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
     match s {
         Scenario::Fo => {
             let db = fo_db();
             let formula = parse_formula(FO_SRC).expect("fo scenario parses");
-            let baseline = dco::fo::eval(&db, &formula).expect("fo baseline");
+            // The pipeline evaluates the statistics-planned formula, so
+            // the baseline is the bare evaluator on that same formula.
+            let planned = plan_formula(&formula, &DbStats::of_database(&db));
+            let baseline = dco::fo::eval(&db, &planned).expect("fo baseline");
             let opts = QueryOptions {
                 limits,
                 ..QueryOptions::default()
             };
             match query_fo(&db, None, &formula, &opts) {
-                Ok(a) => Ok(a.result.relation.equivalent(&baseline.relation)
-                    && a.result.columns == baseline.columns),
-                Err(QueryError::Fault(f)) => Err(f),
+                Ok(a) => {
+                    Ok(a.result.relation == baseline.relation
+                        && a.result.columns == baseline.columns)
+                }
+                Err(QueryError::Fault { error, .. }) => Err(error),
                 Err(e) => panic!("fo scenario is semantically valid, got {e}"),
             }
         }
